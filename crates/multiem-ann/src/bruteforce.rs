@@ -1,8 +1,11 @@
 //! Exact k-nearest-neighbour search by linear scan.
 //!
-//! Used as the correctness oracle for [`crate::HnswIndex`], for the small
-//! per-tuple neighbourhood computations in the pruning phase, and as a simple
-//! fallback for tiny tables where building a graph index is not worth it.
+//! There is one scan, [`BruteForceIndex::search_batch`]: a bounded top-k per
+//! query over one candidates-outer pass. A single search is a batch of one.
+//!
+//! Used as the correctness oracle for [`crate::HnswIndex`], by the baselines'
+//! blocking, and as the backend for tables too small to be worth a graph
+//! index.
 
 use crate::metric::Metric;
 use crate::{DynamicVectorIndex, Neighbor, VectorIndex};
@@ -51,44 +54,19 @@ impl BruteForceIndex {
         self.len() - 1
     }
 
-    /// Search, excluding a specific stored index (useful for self-joins where
-    /// the query vector itself is part of the index).
-    pub fn search_excluding(
-        &self,
-        query: &[f32],
-        k: usize,
-        exclude: Option<usize>,
-    ) -> Vec<Neighbor> {
-        if k == 0 || self.is_empty() {
-            return Vec::new();
-        }
-        // The query's norm is loop-invariant across the scan; hoist it.
-        let qnorm = Metric::squared_norm(query);
-        let mut results: Vec<Neighbor> = Vec::with_capacity(self.len());
-        for i in 0..self.len() {
-            if exclude == Some(i) {
-                continue;
-            }
-            let d = self.metric.distance_qnormed(query, self.vector(i), qnorm);
-            results.push(Neighbor::new(i, d));
-        }
-        results.sort_by(rank);
-        results.truncate(k);
-        results
-    }
-
-    /// Search several queries in **one pass** over the stored vectors.
+    /// Search several queries in **one pass** over the stored vectors: the
+    /// one scan behind every brute-force search ([`VectorIndex::search`] is
+    /// a batch of one).
     ///
     /// The scan is candidates-outer / queries-inner, which saves real work
     /// twice over per-query scans: each stored vector is loaded once per
     /// *batch* and scored against every query while it is cache-hot, and —
     /// for [`Metric::Cosine`] — its squared norm is computed once and shared
     /// by the whole batch, so the per-pair kernel degenerates to a dot
-    /// product ([`Metric::distance_prenormed`]). A single-query scan cannot
-    /// amortize candidate norms (each candidate is visited once per scan).
-    /// Each query's result is bit-identical to what [`VectorIndex::search`]
-    /// returns for it (same floats, same distance-then-index ranking, same
-    /// top-`k` cut).
+    /// product ([`Metric::distance_prenormed`], bit-identical to
+    /// [`Metric::distance`]). Each query keeps a bounded top-`k` in the
+    /// [`Neighbor`] order, so a query's result does not depend on the batch
+    /// it came in.
     pub fn search_batch(&self, queries: &[&[f32]], k: usize) -> Vec<Vec<Neighbor>> {
         if k == 0 || self.is_empty() {
             return vec![Vec::new(); queries.len()];
@@ -109,26 +87,17 @@ impl BruteForceIndex {
                         .distance_prenormed(query, candidate, qnorm, cnorm),
                 );
                 if hits.len() == keep {
-                    if rank(&found, &hits[keep - 1]) != std::cmp::Ordering::Less {
+                    if found >= hits[keep - 1] {
                         continue;
                     }
                     hits.pop();
                 }
-                let at = hits.partition_point(|h| rank(h, &found) != std::cmp::Ordering::Greater);
+                let at = hits.partition_point(|h| *h < found);
                 hits.insert(at, found);
             }
         }
         results
     }
-}
-
-/// The ranking shared by every search path: ascending distance, ties broken
-/// by insertion index for determinism.
-fn rank(a: &Neighbor, b: &Neighbor) -> std::cmp::Ordering {
-    a.distance
-        .partial_cmp(&b.distance)
-        .unwrap_or(std::cmp::Ordering::Equal)
-        .then(a.index.cmp(&b.index))
 }
 
 impl DynamicVectorIndex for BruteForceIndex {
@@ -151,7 +120,7 @@ impl VectorIndex for BruteForceIndex {
     }
 
     fn search(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
-        self.search_excluding(query, k, None)
+        self.search_batch(&[query], k).pop().unwrap_or_default()
     }
 
     fn vector(&self, index: usize) -> &[f32] {
@@ -200,13 +169,6 @@ mod tests {
         let empty = BruteForceIndex::new(2, Metric::Cosine);
         assert!(empty.search(&[1.0, 0.0], 3).is_empty());
         assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn exclusion_skips_self() {
-        let idx = index_with(&[[0.0, 0.0], [1.0, 0.0]]);
-        let res = idx.search_excluding(&[0.0, 0.0], 1, Some(0));
-        assert_eq!(res[0].index, 1);
     }
 
     #[test]

@@ -14,7 +14,7 @@ use crate::{DynamicVectorIndex, Neighbor, VectorIndex};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-use std::cmp::Ordering;
+use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Configuration of an [`HnswIndex`].
@@ -56,56 +56,6 @@ impl HnswConfig {
             ef_search: 32,
             seed: 42,
         }
-    }
-}
-
-/// Max-heap entry ordered by distance (for the result set).
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct FarthestFirst {
-    dist: f32,
-    node: usize,
-}
-
-impl Eq for FarthestFirst {}
-
-impl Ord for FarthestFirst {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.dist
-            .partial_cmp(&other.dist)
-            .unwrap_or(Ordering::Equal)
-            .then(self.node.cmp(&other.node))
-    }
-}
-
-impl PartialOrd for FarthestFirst {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Min-heap entry ordered by distance (for the candidate queue); implemented as
-/// a max-heap over reversed ordering.
-#[derive(Debug, Clone, Copy, PartialEq)]
-struct ClosestFirst {
-    dist: f32,
-    node: usize,
-}
-
-impl Eq for ClosestFirst {}
-
-impl Ord for ClosestFirst {
-    fn cmp(&self, other: &Self) -> Ordering {
-        other
-            .dist
-            .partial_cmp(&self.dist)
-            .unwrap_or(Ordering::Equal)
-            .then(other.node.cmp(&self.node))
-    }
-}
-
-impl PartialOrd for ClosestFirst {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
     }
 }
 
@@ -184,53 +134,42 @@ impl HnswIndex {
         layer: usize,
     ) -> Vec<Neighbor> {
         let mut visited = vec![false; self.len()];
-        let mut candidates: BinaryHeap<ClosestFirst> = BinaryHeap::new();
-        let mut results: BinaryHeap<FarthestFirst> = BinaryHeap::new();
+        // Both heaps rank by the `Neighbor` order: `results` pops its
+        // worst hit, `candidates` its closest.
+        let mut candidates: BinaryHeap<Reverse<Neighbor>> = BinaryHeap::new();
+        let mut results: BinaryHeap<Neighbor> = BinaryHeap::new();
 
         for &ep in entry_points {
             if visited[ep] {
                 continue;
             }
             visited[ep] = true;
-            let d = self.dist_to(query, ep);
-            candidates.push(ClosestFirst { dist: d, node: ep });
-            results.push(FarthestFirst { dist: d, node: ep });
+            let found = Neighbor::new(ep, self.dist_to(query, ep));
+            candidates.push(Reverse(found));
+            results.push(found);
         }
 
-        while let Some(ClosestFirst { dist, node }) = candidates.pop() {
-            let worst = results.peek().map(|f| f.dist).unwrap_or(f32::INFINITY);
-            if dist > worst && results.len() >= ef {
+        while let Some(Reverse(closest)) = candidates.pop() {
+            if results.len() >= ef && results.peek().is_some_and(|worst| closest > *worst) {
                 break;
             }
-            for &nb in &self.links[node][layer] {
+            for &nb in &self.links[closest.index][layer] {
                 let nb = nb as usize;
                 if visited[nb] {
                     continue;
                 }
                 visited[nb] = true;
-                let d = self.dist_to(query, nb);
-                let worst = results.peek().map(|f| f.dist).unwrap_or(f32::INFINITY);
-                if results.len() < ef || d < worst {
-                    candidates.push(ClosestFirst { dist: d, node: nb });
-                    results.push(FarthestFirst { dist: d, node: nb });
+                let found = Neighbor::new(nb, self.dist_to(query, nb));
+                if results.len() < ef || results.peek().is_some_and(|worst| found < *worst) {
+                    candidates.push(Reverse(found));
+                    results.push(found);
                     if results.len() > ef {
                         results.pop();
                     }
                 }
             }
         }
-
-        let mut out: Vec<Neighbor> = results
-            .into_iter()
-            .map(|f| Neighbor::new(f.node, f.dist))
-            .collect();
-        out.sort_by(|a, b| {
-            a.distance
-                .partial_cmp(&b.distance)
-                .unwrap_or(Ordering::Equal)
-                .then(a.index.cmp(&b.index))
-        });
-        out
+        results.into_sorted_vec()
     }
 
     /// Heuristic neighbour selection (HNSW paper, Algorithm 4): prefer
@@ -288,12 +227,7 @@ impl HnswIndex {
                 )
             })
             .collect();
-        cands.sort_by(|a, b| {
-            a.distance
-                .partial_cmp(&b.distance)
-                .unwrap_or(Ordering::Equal)
-                .then(a.index.cmp(&b.index))
-        });
+        cands.sort_unstable();
         let kept = self.select_neighbors_heuristic(&cands, cap);
         self.links[node][layer] = kept.into_iter().map(|i| i as u32).collect();
     }

@@ -142,7 +142,7 @@ impl MultiTableMatcher for AlmserGb {
                     (p, (prob - 0.5).abs())
                 })
                 .collect();
-            uncertain.sort_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal));
+            uncertain.sort_by(|a, b| a.1.total_cmp(&b.1));
             for (pair, _) in uncertain.into_iter().take(self.config.queries_per_round) {
                 let label = truth.contains(&pair);
                 labeled.push((pair, label));

@@ -62,7 +62,7 @@ impl AutoFjMatcher {
         if background.is_empty() {
             return self.config.min_threshold.max(0.5);
         }
-        background.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+        background.sort_by(f32::total_cmp);
         let idx = ((background.len() - 1) as f64 * self.config.calibration_quantile) as usize;
         (background[idx] + self.config.margin).max(self.config.min_threshold)
     }

@@ -81,7 +81,7 @@ impl AffinityPropagation {
             }
         }
         let preference = self.config.preference.unwrap_or_else(|| {
-            offdiag.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
+            offdiag.sort_by(f32::total_cmp);
             offdiag[offdiag.len() / 2]
         });
         for i in 0..n {
@@ -164,7 +164,7 @@ impl AffinityPropagation {
                 .max_by(|&a, &b| {
                     let va = resp[a * n + a] + avail[a * n + a];
                     let vb = resp[b * n + b] + avail[b * n + b];
-                    va.partial_cmp(&vb).unwrap_or(std::cmp::Ordering::Equal)
+                    va.total_cmp(&vb)
                 })
                 .unwrap_or(0);
             exemplars.push(best);
@@ -180,11 +180,7 @@ impl AffinityPropagation {
             } else {
                 *exemplars
                     .iter()
-                    .max_by(|&&a, &&b| {
-                        sim[i * n + a]
-                            .partial_cmp(&sim[i * n + b])
-                            .unwrap_or(std::cmp::Ordering::Equal)
-                    })
+                    .max_by(|&&a, &&b| sim[i * n + a].total_cmp(&sim[i * n + b]))
                     .expect("at least one exemplar")
             };
             clusters

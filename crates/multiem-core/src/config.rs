@@ -1,6 +1,6 @@
 //! Configuration of the MultiEM pipeline.
 
-use multiem_ann::{HnswConfig, Metric};
+use multiem_ann::{AnnIndex, BruteForceIndex, HnswConfig, HnswIndex, Metric};
 use multiem_table::SerializeOptions;
 use serde::{Deserialize, Serialize};
 
@@ -16,6 +16,18 @@ pub enum IndexBackend {
     /// small vs. large tables).
     #[default]
     Auto,
+}
+
+impl IndexBackend {
+    /// Whether a collection of `items` vectors gets the HNSW index under
+    /// this backend (brute force otherwise).
+    pub fn uses_hnsw(self, items: usize, hnsw_threshold: usize) -> bool {
+        match self {
+            IndexBackend::BruteForce => false,
+            IndexBackend::Hnsw => true,
+            IndexBackend::Auto => items >= hnsw_threshold,
+        }
+    }
 }
 
 /// Hyper-parameters of MultiEM (Section IV-A, "Implementation details").
@@ -111,6 +123,20 @@ impl MultiEmConfig {
     pub fn without_pruning(mut self) -> Self {
         self.pruning = false;
         self
+    }
+
+    /// An empty merge-metric index for a collection of `items` vectors, on
+    /// the backend [`IndexBackend::uses_hnsw`] picks.
+    pub fn ann_index(&self, items: usize, dim: usize) -> AnnIndex {
+        if self.index_backend.uses_hnsw(items, self.hnsw_threshold) {
+            AnnIndex::Hnsw(Box::new(HnswIndex::new(
+                dim,
+                self.merge_metric,
+                self.hnsw.clone(),
+            )))
+        } else {
+            AnnIndex::Brute(BruteForceIndex::new(dim, self.merge_metric))
+        }
     }
 
     /// Validate the configuration, returning a description of the first

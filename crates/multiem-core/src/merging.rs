@@ -14,8 +14,8 @@
 //! requested — until a single integrated table remains. Matched tuples are the
 //! multi-member items of that final table.
 
-use crate::config::{IndexBackend, MultiEmConfig};
-use multiem_ann::{mutual_top_k, BruteForceIndex, HnswIndex, Metric, Neighbor, VectorIndex};
+use crate::config::MultiEmConfig;
+use multiem_ann::{mutual_top_k, AnnIndex, DynamicVectorIndex, VectorIndex};
 use multiem_cluster::UnionFind;
 use multiem_embed::l2_normalize;
 use multiem_table::{Dataset, EntityId, MatchTuple};
@@ -117,76 +117,12 @@ impl MergedTable {
     }
 }
 
-/// Either index backend, selected per table size.
-enum AnyIndex {
-    Brute(BruteForceIndex),
-    Hnsw(Box<HnswIndex>),
-}
-
-impl VectorIndex for AnyIndex {
-    fn dim(&self) -> usize {
-        match self {
-            AnyIndex::Brute(i) => i.dim(),
-            AnyIndex::Hnsw(i) => i.dim(),
-        }
+fn index_items(items: &[MergeItem], config: &MultiEmConfig, dim: usize) -> AnnIndex {
+    let mut index = config.ann_index(items.len(), dim);
+    for item in items {
+        index.insert(&item.embedding);
     }
-
-    fn len(&self) -> usize {
-        match self {
-            AnyIndex::Brute(i) => i.len(),
-            AnyIndex::Hnsw(i) => i.len(),
-        }
-    }
-
-    fn metric(&self) -> Metric {
-        match self {
-            AnyIndex::Brute(i) => i.metric(),
-            AnyIndex::Hnsw(i) => i.metric(),
-        }
-    }
-
-    fn search(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
-        match self {
-            AnyIndex::Brute(i) => i.search(query, k),
-            AnyIndex::Hnsw(i) => i.search(query, k),
-        }
-    }
-
-    fn vector(&self, index: usize) -> &[f32] {
-        match self {
-            AnyIndex::Brute(i) => i.vector(index),
-            AnyIndex::Hnsw(i) => i.vector(index),
-        }
-    }
-
-    fn approx_bytes(&self) -> usize {
-        match self {
-            AnyIndex::Brute(i) => i.approx_bytes(),
-            AnyIndex::Hnsw(i) => i.approx_bytes(),
-        }
-    }
-}
-
-fn build_index(items: &[MergeItem], config: &MultiEmConfig, dim: usize) -> AnyIndex {
-    let use_hnsw = match config.index_backend {
-        IndexBackend::BruteForce => false,
-        IndexBackend::Hnsw => true,
-        IndexBackend::Auto => items.len() >= config.hnsw_threshold,
-    };
-    if use_hnsw {
-        AnyIndex::Hnsw(Box::new(HnswIndex::build(
-            dim,
-            config.merge_metric,
-            config.hnsw.clone(),
-            items.iter().map(|i| i.embedding.as_slice()),
-        )))
-    } else {
-        AnyIndex::Brute(BruteForceIndex::from_vectors(
-            dim,
-            config.merge_metric,
-            items.iter().map(|i| i.embedding.as_slice()),
-        ))
-    }
+    index
 }
 
 fn centroid(members: &[&MergeItem], dim: usize) -> Vec<f32> {
@@ -232,8 +168,8 @@ pub fn two_table_merge_with_stats(
         return (left.clone(), MergeStats::default());
     }
 
-    let left_index = build_index(&left.items, config, dim);
-    let right_index = build_index(&right.items, config, dim);
+    let left_index = index_items(&left.items, config, dim);
+    let right_index = index_items(&right.items, config, dim);
     let left_vecs: Vec<&[f32]> = left.items.iter().map(|i| i.embedding.as_slice()).collect();
     let right_vecs: Vec<&[f32]> = right.items.iter().map(|i| i.embedding.as_slice()).collect();
 
@@ -370,6 +306,7 @@ pub fn hierarchical_merge(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::IndexBackend;
     use crate::representation::EmbeddingStore;
     use multiem_datagen::{
         CorruptionConfig, Corruptor, Domain, GeneratorConfig, MultiSourceGenerator,

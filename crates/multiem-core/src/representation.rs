@@ -158,11 +158,10 @@ pub fn select_attributes(
 
     // Guarantee at least one selected attribute.
     if scores.iter().all(|s| !s.selected) {
-        if let Some(best) = scores.iter_mut().min_by(|a, b| {
-            a.mean_similarity
-                .partial_cmp(&b.mean_similarity)
-                .unwrap_or(std::cmp::Ordering::Equal)
-        }) {
+        if let Some(best) = scores
+            .iter_mut()
+            .min_by(|a, b| a.mean_similarity.total_cmp(&b.mean_similarity))
+        {
             best.selected = true;
         }
     }

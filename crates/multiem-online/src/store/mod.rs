@@ -38,9 +38,8 @@ use crate::error::OnlineError;
 use crate::storage::{CompactionReport, RecordStorage, RecordStore, SegmentStats, StorageStats};
 use crate::wire::{self, SnapshotFormat};
 use crate::Result;
-use multiem_ann::{BruteForceIndex, DynamicVectorIndex, HnswIndex, Neighbor, VectorIndex};
+use multiem_ann::{AnnIndex, DynamicVectorIndex, VectorIndex};
 use multiem_cluster::DynamicUnionFind;
-use multiem_core::config::IndexBackend;
 use multiem_core::representation::{select_attributes, AttributeSelection, EmbeddingStore};
 use multiem_core::{hierarchical_merge, prune_item, prune_points, MergedTable};
 use multiem_embed::{l2_normalize, EmbeddingModel};
@@ -116,51 +115,6 @@ impl ClusterMeta {
     }
 }
 
-/// Either representative-index backend; which one is active can change at
-/// rebuild time (brute force below `hnsw_threshold` live clusters, HNSW
-/// above, mirroring [`IndexBackend::Auto`] in the batch merger).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-enum RepIndex {
-    /// Exact index.
-    Brute(BruteForceIndex),
-    /// HNSW graph index.
-    Hnsw(Box<HnswIndex>),
-}
-
-impl RepIndex {
-    fn insert(&mut self, v: &[f32]) -> usize {
-        match self {
-            RepIndex::Brute(i) => i.insert(v),
-            RepIndex::Hnsw(i) => i.insert(v),
-        }
-    }
-
-    fn search(&self, query: &[f32], k: usize) -> Vec<Neighbor> {
-        match self {
-            RepIndex::Brute(i) => i.search(query, k),
-            RepIndex::Hnsw(i) => i.search(query, k),
-        }
-    }
-
-    /// Search several queries at once. The brute-force backend answers all
-    /// of them with one candidates-outer pass over its flat vector array;
-    /// HNSW has no batched traversal, so it falls back to per-query graph
-    /// searches. Per-query results are identical to [`RepIndex::search`].
-    fn search_batch(&self, queries: &[&[f32]], k: usize) -> Vec<Vec<Neighbor>> {
-        match self {
-            RepIndex::Brute(i) => i.search_batch(queries, k),
-            RepIndex::Hnsw(i) => queries.iter().map(|q| i.search(q, k)).collect(),
-        }
-    }
-
-    fn approx_bytes(&self) -> usize {
-        match self {
-            RepIndex::Brute(i) => i.approx_bytes(),
-            RepIndex::Hnsw(i) => i.approx_bytes(),
-        }
-    }
-}
-
 /// The serializable state of an [`EntityStore`] (everything but the encoder).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct StoreState {
@@ -181,7 +135,10 @@ struct StoreState {
     entity_of_dense: Vec<EntityId>,
     uf: DynamicUnionFind,
     clusters: BTreeMap<usize, ClusterMeta>,
-    index: RepIndex,
+    /// Representative index; the backend can change at rebuild time (brute
+    /// force below `hnsw_threshold` live clusters, HNSW above, like
+    /// `IndexBackend::Auto` in the batch merger).
+    index: AnnIndex,
     /// Index node -> cluster root (`None` = tombstone).
     node_root: Vec<Option<usize>>,
     stale_nodes: usize,
@@ -220,7 +177,7 @@ impl<E: EmbeddingModel> EntityStore<E> {
         config.validate().map_err(OnlineError::InvalidConfig)?;
         let dim = encoder.dim();
         let records = RecordStorage::new(&config.storage, dim)?;
-        let index = new_index(&config, 0, dim);
+        let index = config.base.ann_index(0, dim);
         Ok(Self {
             encoder,
             state: StoreState {
@@ -1082,7 +1039,7 @@ impl<E: EmbeddingModel> EntityStore<E> {
 
     /// Rebuild the representative index when tombstones dominate, or when the
     /// store grew past `hnsw_threshold` while still on the brute-force
-    /// backend (the online analogue of [`IndexBackend::Auto`]).
+    /// backend (the online analogue of `IndexBackend::Auto`).
     fn maybe_rebuild(&mut self) {
         let total = self.state.node_root.len();
         if total == 0 {
@@ -1090,13 +1047,13 @@ impl<E: EmbeddingModel> EntityStore<E> {
         }
         let live = total - self.state.stale_nodes;
         let staleness = self.state.stale_nodes as f64 / total as f64;
-        let needs_upgrade = matches!(self.state.config.base.index_backend, IndexBackend::Auto)
-            && matches!(self.state.index, RepIndex::Brute(_))
-            && live >= self.state.config.base.hnsw_threshold;
+        let base = &self.state.config.base;
+        let needs_upgrade = matches!(self.state.index, AnnIndex::Brute(_))
+            && base.index_backend.uses_hnsw(live, base.hnsw_threshold);
         if staleness <= self.state.config.rebuild_staleness && !needs_upgrade {
             return;
         }
-        let mut index = new_index(&self.state.config, live, self.encoder.dim());
+        let mut index = base.ann_index(live, self.encoder.dim());
         let mut node_root = Vec::with_capacity(live);
         for (&root, meta) in self.state.clusters.iter_mut() {
             if meta.node.is_some() {
@@ -1110,23 +1067,6 @@ impl<E: EmbeddingModel> EntityStore<E> {
         self.state.node_root = node_root;
         self.state.stale_nodes = 0;
         self.state.rebuilds += 1;
-    }
-}
-
-fn new_index(config: &OnlineConfig, live: usize, dim: usize) -> RepIndex {
-    let use_hnsw = match config.base.index_backend {
-        IndexBackend::BruteForce => false,
-        IndexBackend::Hnsw => true,
-        IndexBackend::Auto => live >= config.base.hnsw_threshold,
-    };
-    if use_hnsw {
-        RepIndex::Hnsw(Box::new(HnswIndex::new(
-            dim,
-            config.base.merge_metric,
-            config.base.hnsw.clone(),
-        )))
-    } else {
-        RepIndex::Brute(BruteForceIndex::new(dim, config.base.merge_metric))
     }
 }
 
@@ -1459,7 +1399,7 @@ mod tests {
         ))
         .unwrap();
         assert!(
-            matches!(s.state.index, RepIndex::Hnsw(_)),
+            matches!(s.state.index, AnnIndex::Hnsw(_)),
             "auto backend should have upgraded to HNSW"
         );
         // Matching still works on the upgraded index.

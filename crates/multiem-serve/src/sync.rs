@@ -47,6 +47,7 @@ pub enum LockClass {
 }
 
 impl LockClass {
+    #[cfg(debug_assertions)]
     fn name(self) -> &'static str {
         match self {
             LockClass::Shard => "shard",
